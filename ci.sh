@@ -6,7 +6,11 @@
 #   2. cargo clippy -D warnings    — workspace lint wall (all targets),
 #                                    then cargo doc with RUSTDOCFLAGS
 #                                    "-D warnings" so broken intra-doc
-#                                    links fail like any other lint
+#                                    links fail like any other lint,
+#                                    and a release build of servebench/
+#                                    (its own workspace, so --workspace
+#                                    never compiles it against the
+#                                    crates' public names)
 #   3. cargo test -q, twice        — full test suite at CLR_THREADS=1 and
 #                                    CLR_THREADS=4: the parallel evaluation
 #                                    layer must be bit-identical at every
@@ -126,6 +130,14 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 
 step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+step "cargo build servebench (the repo benchmark, its own workspace)"
+# Building refreshes servebench/Cargo.lock when a crate's path
+# dependencies change; shelter the committed lock so CI leaves the
+# checkout clean.
+cp servebench/Cargo.lock target/ci-servebench.lock
+cargo build --release --offline --manifest-path servebench/Cargo.toml
+mv target/ci-servebench.lock servebench/Cargo.lock
 
 step "cargo test -q (CLR_THREADS=1)"
 CLR_THREADS=1 cargo test --workspace -q

@@ -67,8 +67,8 @@ pub enum AuditCode {
     /// must round-trip byte-for-byte; a silent truncation corrupts the
     /// artifact without an error.
     LossyCastInCodec,
-    /// CLR107: a call to a deprecated workspace API
-    /// (`DesignPointDb::point` — use the total `get`).
+    /// CLR107: a call to a function the audited sources declare
+    /// `#[deprecated]`.
     DeprecatedApi,
     /// CLR108: a `clr-audit: allow(...)` annotation that suppresses
     /// nothing. Dangling allows rot into false confidence; delete them

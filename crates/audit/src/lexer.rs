@@ -7,7 +7,7 @@
 //! line comments, with string/char/byte/raw-string literals and block
 //! comments consumed and discarded. That is exactly the surface the
 //! CLR1xx rules need — they match short token sequences like
-//! `Instant :: now` or `. point (` — while guaranteeing that a hazard
+//! `Instant :: now` or `. name (` — while guaranteeing that a hazard
 //! word inside a string literal or a doc comment never fires a lint.
 
 /// What kind of token was scanned.

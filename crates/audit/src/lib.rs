@@ -32,6 +32,7 @@ pub mod lexer;
 pub mod report;
 pub mod scan;
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -40,6 +41,7 @@ pub use annot::{parse_comment, Annotation, AnnotationError};
 pub use codes::{AuditCode, Severity};
 pub use report::{AuditReport, Baseline, Finding};
 pub use scan::{audit_source, normalize_path};
+use scan::{audit_source_with, deprecated_fns};
 
 /// Workspace subtrees that contain first-party Rust sources.
 const SOURCE_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
@@ -96,14 +98,28 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 ///
 /// Propagates filesystem errors from walking or reading sources.
 pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
-    let mut report = AuditReport::new();
+    let mut files = Vec::new();
     for rel in workspace_files(root)? {
         let source = fs::read_to_string(root.join(&rel))?;
-        let rel_text = normalize_path(&rel.to_string_lossy());
-        report.absorb_file(audit_source(&rel_text, &source));
+        files.push((normalize_path(&rel.to_string_lossy()), source));
+    }
+    Ok(audit_sources(&files))
+}
+
+/// Audits `(path, source)` pairs as one program and returns the
+/// finished (sorted) report: CLR107 flags calls, in any file, to a
+/// function any of them declares `#[deprecated]`.
+pub fn audit_sources(files: &[(String, String)]) -> AuditReport {
+    let deprecated: BTreeSet<String> = files
+        .iter()
+        .flat_map(|(_, source)| deprecated_fns(source))
+        .collect();
+    let mut report = AuditReport::new();
+    for (path, source) in files {
+        report.absorb_file(audit_source_with(path, source, &deprecated));
     }
     report.finish();
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
@@ -127,6 +143,24 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(files, sorted);
+    }
+
+    #[test]
+    fn deprecations_reach_across_files() {
+        let files = [
+            (
+                "crates/a/src/lib.rs".to_string(),
+                "#[deprecated]\npub fn old() {}".to_string(),
+            ),
+            (
+                "crates/b/src/lib.rs".to_string(),
+                "fn f() { a::old(); }".to_string(),
+            ),
+        ];
+        let report = audit_sources(&files);
+        assert_eq!(report.findings().len(), 1);
+        assert_eq!(report.findings()[0].code, AuditCode::DeprecatedApi);
+        assert_eq!(report.findings()[0].path, "crates/b/src/lib.rs");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use clr_audit::{audit_source, audit_workspace, normalize_path, AuditCode, AuditReport, Baseline};
+use clr_audit::{audit_sources, audit_workspace, normalize_path, AuditCode, Baseline};
 
 const USAGE: &str = "\
 usage: clr-audit [--json] [--root DIR] [--baseline FILE] [FILE...]
@@ -77,13 +77,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut report = if files.is_empty() {
         audit_workspace(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?
     } else {
-        let mut r = AuditReport::new();
+        let mut sources = Vec::new();
         for file in &files {
             let source = fs::read_to_string(file).map_err(|e| format!("reading {file}: {e}"))?;
-            r.absorb_file(audit_source(&normalize_path(file), &source));
+            sources.push((normalize_path(file), source));
         }
-        r.finish();
-        r
+        audit_sources(&sources)
     };
 
     let baseline = load_baseline(baseline_path.as_deref(), &root)?;

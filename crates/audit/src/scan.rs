@@ -39,26 +39,13 @@ const CODEC_PATHS: &[&str] = &[
     "crates/store/src/backend.rs",
     "crates/chaos/src/plan.rs",
     "crates/learn/src/checkpoint.rs",
+    "crates/dse/src/sealed.rs",
 ];
 
 /// Cast targets that can silently drop information (CLR106). Widening
 /// targets (`u64`, `i64`, `f64`, `u128`, `i128`) are not listed: every
 /// workspace source value fits them.
 const LOSSY_CAST_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32", "usize"];
-
-/// Deprecated workspace methods (CLR107): method name → what to call
-/// instead. Append-only, like the code registry itself.
-const DEPRECATED_METHODS: &[(&str, &str)] = &[
-    ("point", "DesignPointDb::point is deprecated; call get()"),
-    (
-        "decide_scored",
-        "RuntimePolicy::decide_scored is deprecated; call decide(&DecisionInput)",
-    ),
-    (
-        "decide_scored_from",
-        "RuntimePolicy::decide_scored_from is deprecated; call decide(&DecisionInput)",
-    ),
-];
 
 /// Normalizes a path for scope matching and reporting: `/` separators,
 /// no leading `./`.
@@ -71,11 +58,52 @@ fn in_scope(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
 }
 
-/// Audits one source file, returning its findings sorted by
-/// `(line, code)`. `path` should be workspace-relative; it selects the
+/// The names of the functions `source` declares `#[deprecated]` — the
+/// calls CLR107 flags. Each is the identifier after the first `fn` that
+/// follows the attribute (stacked attributes, visibility and qualifiers
+/// may sit between them); a deprecated non-function item adds nothing.
+pub(crate) fn deprecated_fns(source: &str) -> BTreeSet<String> {
+    let tokens = lex(source).tokens;
+    let mut names = BTreeSet::new();
+    for (i, w) in tokens.windows(3).enumerate() {
+        if [w[0].text, w[1].text, w[2].text] != ["#", "[", "deprecated"] {
+            continue;
+        }
+        // The lexer drops the attribute's string arguments, so the scan
+        // meets no `{`, `;` or item keyword before the item itself.
+        for item in tokens[i + 3..].windows(2) {
+            match item[0].text {
+                "fn" => {
+                    names.insert(item[1].text.to_string());
+                    break;
+                }
+                "struct" | "enum" | "union" | "trait" | "type" | "mod" | "static" | "{" | ";" => {
+                    break
+                }
+                _ => {}
+            }
+        }
+    }
+    names
+}
+
+/// Audits one source file on its own, returning its findings sorted by
+/// `(line, code)`: CLR107 sees only the deprecations the file declares
+/// itself. `path` should be workspace-relative; it selects the
 /// path-scoped rules (decision paths, codec code, the `crates/par`
 /// spawn exemption).
 pub fn audit_source(path: &str, source: &str) -> Vec<Finding> {
+    audit_source_with(path, source, &deprecated_fns(source))
+}
+
+/// [`audit_source`] with the set of deprecated function names CLR107
+/// checks calls against — for a multi-file audit, the union of
+/// [`deprecated_fns`] over every file.
+pub(crate) fn audit_source_with(
+    path: &str,
+    source: &str,
+    deprecated: &BTreeSet<String>,
+) -> Vec<Finding> {
     let path = normalize_path(path);
     let lexed = lex(source);
     let tokens = &lexed.tokens;
@@ -147,6 +175,7 @@ pub fn audit_source(path: &str, source: &str) -> Vec<Finding> {
     let scope_decision = in_scope(&path, DECISION_PATHS);
     let scope_codec = in_scope(&path, CODEC_PATHS);
     let txt = |k: usize| tokens.get(k).map_or("", |t: &Token<'_>| t.text);
+    let prev = |k: usize| if k == 0 { "" } else { txt(k - 1) };
 
     for (i, tok) in tokens.iter().enumerate() {
         let line = tok.line;
@@ -242,15 +271,13 @@ pub fn audit_source(path: &str, source: &str) -> Vec<Finding> {
                     format!("potentially lossy `as {}` in codec code", txt(i + 1)),
                 );
             }
-            "." if txt(i + 2) == "(" => {
-                if let Some((_, note)) = DEPRECATED_METHODS.iter().find(|(m, _)| *m == txt(i + 1)) {
-                    push(
-                        &mut findings,
-                        AuditCode::DeprecatedApi,
-                        line,
-                        (*note).to_string(),
-                    );
-                }
+            name if txt(i + 1) == "(" && prev(i) != "fn" && deprecated.contains(name) => {
+                push(
+                    &mut findings,
+                    AuditCode::DeprecatedApi,
+                    line,
+                    format!("call to `{name}`, which is #[deprecated]"),
+                );
             }
             _ => {}
         }
@@ -466,24 +493,36 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_method_calls_fire_anywhere() {
-        assert_eq!(codes("a.rs", "fn f() { let _ = db.point(3); }"), ["CLR107"]);
-        // Different identifiers sharing the suffix do not fire.
-        assert!(codes("a.rs", "fn f() { let _ = t.initial_point(); }").is_empty());
-        // The pre-DecisionInput RuntimePolicy shims are registered too —
-        // call sites fire, the shim definitions themselves do not.
+    fn deprecated_fn_calls_fire_in_every_call_form() {
+        let src = "\
+#[deprecated(since = \"0.2.0\", note = \"use fresh\")]
+pub fn old(x: u8) -> u8 { x }
+fn f(s: S) { let _ = old(1); let _ = m::old(2); let _ = s.old(3); }";
+        // The declaration itself does not fire; each call does.
+        assert_eq!(codes("a.rs", src), ["CLR107", "CLR107", "CLR107"]);
+        // Stacked attributes and qualifiers between the attribute and `fn`.
+        let method = "\
+impl S {
+    #[deprecated]
+    #[inline]
+    pub(crate) const fn legacy(&self) {}
+}
+fn g(s: S) { s.legacy(); }";
+        assert_eq!(codes("a.rs", method), ["CLR107"]);
         assert_eq!(
-            codes("a.rs", "fn f() { let _ = p.decide_scored(c, 0, s); }"),
-            ["CLR107"]
+            deprecated_fns(method),
+            BTreeSet::from(["legacy".to_string()])
         );
-        assert_eq!(
-            codes(
-                "a.rs",
-                "fn f() { let _ = p.decide_scored_from(c, 0, s, f); }"
-            ),
-            ["CLR107"]
-        );
-        assert!(codes("a.rs", "fn decide_scored(&mut self) {}").is_empty());
+    }
+
+    #[test]
+    fn undeclared_names_never_fire() {
+        // A method name fires only where a `#[deprecated]` fn declares it.
+        assert!(codes("a.rs", "fn f() { let _ = db.point(3); }").is_empty());
+        let src = "#[deprecated]\nfn old() {}\nfn f() { let _ = db.point(3); let _ = t.initial_point(); }";
+        assert!(codes("a.rs", src).is_empty());
+        // A deprecated non-function item registers no name.
+        assert!(deprecated_fns("#[deprecated] pub struct Old; fn Old() {}").is_empty());
     }
 
     #[test]

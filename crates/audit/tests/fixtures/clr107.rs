@@ -1,9 +1,10 @@
-// Seeded violation: a call to the deprecated RuntimePolicy shim that
-// predates the DecisionInput redesign.
-pub fn legacy_decide(
-    policy: &mut dyn clr_runtime::RuntimePolicy,
-    ctx: &clr_runtime::RuntimeContext<'_>,
-    spec: &clr_dse::QosSpec,
-) {
-    let _ = policy.decide_scored(ctx, 0, spec);
+// Seeded violation: a call to a function this file declares
+// deprecated.
+#[deprecated(note = "call fresh_decide instead")]
+pub fn legacy_decide(x: u32) -> u32 {
+    x
+}
+
+pub fn caller() -> u32 {
+    legacy_decide(3)
 }

@@ -27,6 +27,7 @@ use clr_chaos::{
 };
 use clr_chaos_cli::{campaign_csv, preset_fleet, run_campaign, CampaignConfig};
 use clr_obs::{Obs, ObsMode};
+use clr_serve::cli::{flag, SplitArgs};
 
 const USAGE: &str = "usage: clr-chaos <command>
   plan --seed N [--all R] [--rate KIND=R].. [--out FILE]
@@ -59,9 +60,6 @@ fn usage_error(message: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Positional operands plus `--flag value` pairs, borrowed from argv.
-type SplitArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
-
 /// Splits args into positional operands and `--flag value` pairs.
 fn split_flags(args: &[String]) -> Result<SplitArgs<'_>, String> {
     let mut positional = Vec::new();
@@ -78,15 +76,6 @@ fn split_flags(args: &[String]) -> Result<SplitArgs<'_>, String> {
         }
     }
     Ok((positional, flags))
-}
-
-/// Looks up the last occurrence of a flag.
-fn flag<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
-    flags
-        .iter()
-        .rev()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| *v)
 }
 
 /// `plan`: build and emit a fault plan in the text codec.

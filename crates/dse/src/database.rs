@@ -54,31 +54,6 @@ impl DesignPointDb {
         self.points.get(index)
     }
 
-    /// The point at `index`.
-    ///
-    /// Deprecated panicking shim over [`DesignPointDb::get`]: every
-    /// workspace call site has migrated to `get` (with explicit handling
-    /// feeding the serve path's degradation ladder), and new code should
-    /// do the same — an out-of-range index from a corrupted artifact must
-    /// degrade, not abort the process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `get(index)` and handle `None` explicitly"
-    )]
-    pub fn point(&self, index: usize) -> &DesignPoint {
-        self.get(index).unwrap_or_else(|| {
-            panic!(
-                "design-point index {index} out of range for database {:?} of {} points",
-                self.name,
-                self.points.len()
-            )
-        })
-    }
-
     /// Number of stored points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -255,25 +230,6 @@ mod tests {
         assert!(!db.push_if_new(pt(10.0, 0.9, 5.0, PointOrigin::ReconfigAware)));
         assert!(db.push_if_new(pt(11.0, 0.9, 5.0, PointOrigin::Pareto)));
         assert_eq!(db.len(), 2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn get_is_total_and_point_agrees_in_range() {
-        let mut db = DesignPointDb::new("t");
-        db.push(pt(10.0, 0.9, 5.0, PointOrigin::Pareto));
-        // clr-audit: allow(CLR107) this test exercises the deprecated accessor itself
-        assert_eq!(db.get(0), Some(db.point(0)));
-        assert!(db.get(1).is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "out of range")]
-    fn point_panics_with_context() {
-        let db = DesignPointDb::new("t");
-        // clr-audit: allow(CLR107) this test pins the deprecated accessor's panic message
-        let _ = db.point(3);
     }
 
     #[test]

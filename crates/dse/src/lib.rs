@@ -46,6 +46,7 @@ mod index;
 mod point;
 mod problem;
 mod red;
+pub mod sealed;
 
 pub use based::{explore_based, explore_based_with};
 pub use codec::{point_text, CodecError};

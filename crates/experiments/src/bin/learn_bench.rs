@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use clr_core::prelude::*;
 use clr_core::serve::{ReplayReport, ServeStatus};
+use clr_experiments::load::Lcg;
 use clr_learn::{assign_variant, Variant};
 
 /// Harness scale.
@@ -47,19 +48,6 @@ impl Scale {
                 events_per_tenant: 6_000,
             }
         }
-    }
-}
-
-/// A tiny deterministic generator (same LCG the bench suite uses).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_f64(&mut self) -> f64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 

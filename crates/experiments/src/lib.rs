@@ -17,6 +17,7 @@
 //! their CSVs under `results/`.
 
 pub mod kernels;
+pub mod load;
 pub mod report;
 
 use clr_core::prelude::*;

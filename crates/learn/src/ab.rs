@@ -6,6 +6,7 @@
 //! the same split, which is what makes the rollout auditable: the
 //! CLR091 lint re-derives every journaled variant and flags drift.
 
+use clr_par::{fnv1a64, splitmix64};
 use serde::{Deserialize, Serialize};
 
 /// Which policy variant a tenant is assigned to.
@@ -46,25 +47,6 @@ impl std::fmt::Display for Variant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// FNV-1a 64 over a byte string — the workspace's standard cheap stable
-/// hash (same constants as the snapshot and wire checksums).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// SplitMix64 finaliser: one full-avalanche mixing step.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Assigns a tenant to its A/B variant: a pure function of the fleet

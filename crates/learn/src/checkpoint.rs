@@ -1,13 +1,13 @@
 //! Generation-stamped learner checkpoints: the `CLRLRN1` sealed
 //! container.
 //!
-//! Layout mirrors the snapshot containers (32-byte header: magic,
-//! version u32 LE, flags u32 LE (0), payload length u64 LE, FNV-1a 64
-//! checksum u64 LE, then a UTF-8 text payload). Floats are stored as
+//! A [`clr_dse::sealed`] container (magic `CLRLRN1\0`, version 1)
+//! around a UTF-8 text payload, like the snapshots. Floats are stored as
 //! their IEEE-754 bit patterns in hex, so a decode → re-encode round
 //! trip is **byte-identical** — the CLR092 lint's invariant.
 
-use crate::ab::fnv1a64;
+use clr_dse::sealed::{open, seal, SealError};
+
 use crate::learner::{LearnerState, Table};
 use crate::{LearnConfig, Variant};
 
@@ -17,42 +17,11 @@ pub const LEARN_MAGIC: [u8; 8] = *b"CLRLRN1\0";
 /// The checkpoint format version this build reads and writes.
 pub const LEARN_FORMAT_VERSION: u32 = 1;
 
-const HEADER_LEN: usize = 32;
-
 /// Why a learner checkpoint failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// Fewer bytes than the fixed header.
-    TooShort {
-        /// Bytes actually present.
-        len: usize,
-    },
-    /// The first 8 bytes are not [`LEARN_MAGIC`].
-    BadMagic,
-    /// The header declares a version this build does not read.
-    UnsupportedVersion {
-        /// Declared version.
-        version: u32,
-    },
-    /// Reserved flag bits are set.
-    BadFlags {
-        /// Declared flags word.
-        flags: u32,
-    },
-    /// The declared payload length disagrees with the bytes present.
-    LengthMismatch {
-        /// Length declared in the header.
-        declared: u64,
-        /// Payload bytes actually present.
-        actual: u64,
-    },
-    /// The payload checksum does not match the header.
-    ChecksumMismatch {
-        /// Checksum declared in the header.
-        declared: u64,
-        /// Checksum of the bytes present.
-        actual: u64,
-    },
+    /// The sealed container is damaged, truncated, or of another kind.
+    Container(SealError),
     /// A payload field is missing, malformed, or inconsistent.
     Meta(String),
 }
@@ -60,32 +29,19 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::TooShort { len } => {
-                write!(
-                    f,
-                    "{len} bytes is shorter than the {HEADER_LEN}-byte header"
-                )
-            }
-            Self::BadMagic => write!(f, "bad magic (not a clr learner checkpoint)"),
-            Self::UnsupportedVersion { version } => write!(
-                f,
-                "unsupported checkpoint version {version} (this build reads {LEARN_FORMAT_VERSION})"
-            ),
-            Self::BadFlags { flags } => write!(f, "reserved flag bits set: {flags:#x}"),
-            Self::LengthMismatch { declared, actual } => write!(
-                f,
-                "declared payload length {declared} but {actual} bytes present"
-            ),
-            Self::ChecksumMismatch { declared, actual } => write!(
-                f,
-                "checksum mismatch: header {declared:#018x}, payload {actual:#018x}"
-            ),
+            Self::Container(e) => write!(f, "bad checkpoint container: {e}"),
             Self::Meta(m) => write!(f, "bad checkpoint payload: {m}"),
         }
     }
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<SealError> for CheckpointError {
+    fn from(e: SealError) -> Self {
+        Self::Container(e)
+    }
+}
 
 fn hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -147,61 +103,20 @@ impl LearnerState {
         for (i, c) in nonzero {
             let _ = writeln!(p, "t {} {} {c}", i / self.points, i % self.points);
         }
-        let payload = p.into_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&LEARN_MAGIC);
-        out.extend_from_slice(&LEARN_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        seal(&LEARN_MAGIC, LEARN_FORMAT_VERSION, &p)
     }
 
     /// Parses and integrity-checks a `CLRLRN1` container.
     ///
     /// # Errors
     ///
-    /// Returns the first failed container invariant (magic, version,
-    /// flags, length, checksum), or a [`CheckpointError::Meta`] for a
+    /// [`CheckpointError::Container`] for the first failed container
+    /// check, or a [`CheckpointError::Meta`] for a
     /// malformed or internally inconsistent payload — including a
     /// `variant` field that disagrees with the deterministic
     /// [`crate::assign_variant`] of the stored `(seed, tenant)`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(CheckpointError::TooShort { len: bytes.len() });
-        }
-        if bytes[0..8] != LEARN_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let quad = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        let version = word(8);
-        if version != LEARN_FORMAT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion { version });
-        }
-        let flags = word(12);
-        if flags != 0 {
-            return Err(CheckpointError::BadFlags { flags });
-        }
-        let payload = &bytes[HEADER_LEN..];
-        let declared_len = quad(16);
-        if declared_len != payload.len() as u64 {
-            return Err(CheckpointError::LengthMismatch {
-                declared: declared_len,
-                actual: payload.len() as u64,
-            });
-        }
-        let declared_sum = quad(24);
-        let actual_sum = fnv1a64(payload);
-        if declared_sum != actual_sum {
-            return Err(CheckpointError::ChecksumMismatch {
-                declared: declared_sum,
-                actual: actual_sum,
-            });
-        }
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| CheckpointError::Meta(format!("payload is not UTF-8: {e}")))?;
+        let text = open(bytes, &LEARN_MAGIC, LEARN_FORMAT_VERSION)?;
 
         let mut lines = text.lines();
         let mut field = |key: &str| -> Result<String, CheckpointError> {
@@ -418,50 +333,15 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_detected() {
-        let l = trained();
-        let bytes = l.to_bytes();
-        assert_eq!(
-            LearnerState::from_bytes(&bytes[..16]),
-            Err(CheckpointError::TooShort { len: 16 })
-        );
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert_eq!(
-            LearnerState::from_bytes(&bad_magic),
-            Err(CheckpointError::BadMagic)
-        );
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        assert!(matches!(
-            LearnerState::from_bytes(&flipped),
-            Err(CheckpointError::ChecksumMismatch { .. })
-        ));
-        let mut bad_version = bytes.clone();
-        bad_version[8] = 99;
-        assert_eq!(
-            LearnerState::from_bytes(&bad_version),
-            Err(CheckpointError::UnsupportedVersion { version: 99 })
-        );
-    }
-
-    #[test]
     fn tampered_variant_is_rejected() {
         let l = trained();
         let bytes = l.to_bytes();
-        let text = std::str::from_utf8(&bytes[32..]).unwrap();
+        let text = open(&bytes, &LEARN_MAGIC, LEARN_FORMAT_VERSION).unwrap();
         let flipped = match l.variant {
             Variant::Control => text.replace("variant control", "variant treatment"),
             Variant::Treatment => text.replace("variant treatment", "variant control"),
         };
-        let mut out = Vec::new();
-        out.extend_from_slice(&LEARN_MAGIC);
-        out.extend_from_slice(&LEARN_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&(flipped.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(flipped.as_bytes()).to_le_bytes());
-        out.extend_from_slice(flipped.as_bytes());
+        let out = seal(&LEARN_MAGIC, LEARN_FORMAT_VERSION, &flipped);
         let err = LearnerState::from_bytes(&out).unwrap_err();
         assert!(matches!(err, CheckpointError::Meta(m) if m.contains("assign_variant")));
     }

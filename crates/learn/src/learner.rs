@@ -2,9 +2,10 @@
 //! shadow evaluation with counterfactual regret, seeded exploration,
 //! and reconfiguration prefetch.
 
+use clr_par::{fnv1a64, splitmix64};
 use clr_runtime::{ura_argmax, DecisionInput, DecisionOutcome, Feedback, RuntimeContext};
 
-use crate::ab::{assign_variant, fnv1a64, splitmix64, Variant};
+use crate::ab::{assign_variant, Variant};
 use crate::LearnConfig;
 
 /// Which value table is serving live decisions.

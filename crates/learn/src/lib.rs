@@ -32,7 +32,7 @@ mod checkpoint;
 mod config;
 mod learner;
 
-pub use ab::{assign_variant, fnv1a64, Variant};
+pub use ab::{assign_variant, Variant};
 pub use checkpoint::{is_learn_checkpoint, CheckpointError, LEARN_FORMAT_VERSION, LEARN_MAGIC};
 pub use config::LearnConfig;
 pub use learner::{LearnerState, ShadowRecord, Table};

@@ -48,7 +48,7 @@ pub mod recorder;
 pub mod telemetry;
 
 pub use event::{Event, SCHEMA_VERSION};
-pub use json::{parse as parse_json, Value};
+pub use json::{escape as json_escape, parse as parse_json, Value};
 pub use recorder::Recorder;
 pub use telemetry::{
     BitWindow, QuantileHistogram, Ring, RollingWindow, TelemetrySnapshot, TenantTelemetry,

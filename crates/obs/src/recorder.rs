@@ -57,12 +57,7 @@ impl Default for Recorder {
 
 /// FNV-1a over the metric name; cheap and stable across runs.
 fn shard_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % SHARDS as u64) as usize
+    (clr_par::fnv1a64(name.as_bytes()) % SHARDS as u64) as usize
 }
 
 impl Recorder {

@@ -12,6 +12,8 @@
 //!   observability layer's non-deterministic journal section.
 //! - [`splitmix64`] / [`derive_seed`] — the per-index RNG-stream
 //!   derivation that keeps parallel Monte-Carlo replication deterministic.
+//! - [`fnv1a64`] — the workspace's one stable byte hash: container and
+//!   frame checksums, content-addressed point stamps, A/B assignment.
 //! - [`available_threads`] / [`resolve_threads`] — thread-count policy:
 //!   the `CLR_THREADS` environment variable, falling back to the
 //!   machine's available parallelism.
@@ -57,12 +59,30 @@ pub fn resolve_threads(requested: usize) -> usize {
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function (Steele,
 /// Lea & Flood 2014). Bijective, so distinct inputs give distinct outputs.
+#[inline]
 #[must_use]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// FNV-1a 64-bit hash: the checksum of every sealed container, wire
+/// frame and store-log record, and the content address of stored
+/// points. Not cryptographic; it guards against truncation and bit rot.
+///
+/// `#[inline]` because the wire codec checksums every frame in both
+/// directions from another crate.
+#[inline]
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 /// Derives the RNG seed of work item `index` from a campaign-level `seed`.
@@ -299,6 +319,14 @@ mod tests {
     fn splitmix_matches_reference_vector() {
         // First output of the published SplitMix64 sequence for state 0.
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+    }
+
+    #[test]
+    fn fnv_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -58,8 +58,6 @@ pub use context::RuntimeContext;
 pub use error::RuntimeError;
 pub use hv_policy::HvPolicy;
 pub use qos::{EventStream, QosEvent, QosVariationModel, VariationMode};
-#[allow(deprecated)]
-pub use sim::AdaptationPolicy;
 pub use sim::{
     simulate, simulate_checked, simulate_obs, simulate_replications, DecisionInput,
     DecisionOutcome, Feedback, RuntimePolicy, SimConfig, SimResult, TraceRecord,

@@ -42,9 +42,8 @@ pub use health::{
 };
 pub use session::TenantSession;
 pub use snapshot::{
-    compute_stamps, fnv1a64, resolve_graph, resolve_platform, Lineage, LineageSnapshot, PointStamp,
-    Snapshot, SnapshotError, FORMAT_VERSION, FORMAT_VERSION2, GENESIS_PUBLISHER, HEADER_LEN, MAGIC,
-    MAGIC2,
+    compute_stamps, resolve_graph, resolve_platform, Lineage, LineageSnapshot, PointStamp,
+    Snapshot, SnapshotError, FORMAT_VERSION, FORMAT_VERSION2, GENESIS_PUBLISHER, MAGIC, MAGIC2,
 };
 pub use tenant::{PolicySpec, Tenant};
 pub use trace::{generate_trace, is_plain_name, Trace, TraceError, TraceEvent};

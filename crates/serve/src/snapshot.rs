@@ -3,17 +3,8 @@
 //!
 //! The design-time stage explores once and *publishes*; the serving
 //! engine loads the published artifact instead of re-running DSE. A
-//! snapshot is a small binary container around the existing text codec:
-//!
-//! ```text
-//! offset  size  field
-//! 0       8     magic  b"CLRSNAP1"
-//! 8       4     format version, u32 LE (currently 1)
-//! 12      4     flags, u32 LE (reserved, must be 0)
-//! 16      8     payload length in bytes, u64 LE
-//! 24      8     FNV-1a 64 checksum of the payload, u64 LE
-//! 32      n     payload (UTF-8 text)
-//! ```
+//! snapshot is a [`clr_dse::sealed`] container (magic `CLRSNAP1`,
+//! version 1) around the existing text codec.
 //!
 //! The payload is self-describing provenance plus the database itself:
 //!
@@ -28,15 +19,17 @@
 //! [`Snapshot::resolve`]) because replaying decisions needs the matching
 //! task graph and platform to rebuild the reconfiguration-cost matrix —
 //! a snapshot without them would be a database that cannot serve.
-//! Integrity is checked on load (magic, version, declared length,
-//! checksum) so a tampered or truncated artifact fails loudly instead of
-//! serving wrong decisions; `clr-verify snapshot` re-audits the same
+//! Integrity is checked on load by [`clr_dse::sealed::open`] so a
+//! tampered or truncated artifact fails loudly instead of serving wrong
+//! decisions; `clr-verify snapshot` re-audits the same
 //! invariants plus index/codec equivalence as the CLR06x lint family.
 
 use std::fmt;
 use std::path::Path;
 
+use clr_dse::sealed::{open, seal, SealError};
 use clr_dse::{CodecError, DesignPointDb};
+use clr_par::fnv1a64;
 use clr_platform::Platform;
 use clr_taskgraph::{jpeg_encoder, TaskGraph, TgffConfig, TgffGenerator};
 
@@ -52,55 +45,11 @@ pub const FORMAT_VERSION: u32 = 1;
 /// The lineaged snapshot format version ([`MAGIC2`] containers).
 pub const FORMAT_VERSION2: u32 = 2;
 
-/// Size of the fixed header preceding the payload.
-pub const HEADER_LEN: usize = 32;
-
-/// FNV-1a 64-bit hash — the integrity checksum of the payload. Not
-/// cryptographic; it guards against truncation and bit rot, while
-/// semantic validity is `clr-verify`'s job.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Why a snapshot failed to load or resolve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// Fewer bytes than the fixed header.
-    TooShort {
-        /// Bytes actually present.
-        len: usize,
-    },
-    /// The first 8 bytes are not [`MAGIC`].
-    BadMagic,
-    /// The header declares a version this build does not read.
-    UnsupportedVersion {
-        /// Declared version.
-        version: u32,
-    },
-    /// Reserved flag bits are set.
-    BadFlags {
-        /// Declared flags word.
-        flags: u32,
-    },
-    /// The declared payload length disagrees with the bytes present.
-    LengthMismatch {
-        /// Length declared in the header.
-        declared: u64,
-        /// Payload bytes actually present.
-        actual: u64,
-    },
-    /// The payload checksum does not match the header.
-    ChecksumMismatch {
-        /// Checksum declared in the header.
-        declared: u64,
-        /// Checksum of the bytes present.
-        actual: u64,
-    },
+    /// The sealed container is damaged, truncated, or of another kind.
+    Container(SealError),
     /// The payload's provenance lines are missing or malformed.
     Meta(String),
     /// A v2 container's lineage block is malformed or inconsistent with
@@ -115,32 +64,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::TooShort { len } => {
-                write!(
-                    f,
-                    "{len} bytes is shorter than the {HEADER_LEN}-byte header"
-                )
-            }
-            Self::BadMagic => write!(f, "bad magic (not a clr snapshot)"),
-            Self::UnsupportedVersion { version } => {
-                write!(
-                    f,
-                    "unsupported format version {version} (this build reads {FORMAT_VERSION})"
-                )
-            }
-            Self::BadFlags { flags } => write!(f, "reserved flag bits set: {flags:#x}"),
-            Self::LengthMismatch { declared, actual } => {
-                write!(
-                    f,
-                    "declared payload length {declared} but {actual} bytes present"
-                )
-            }
-            Self::ChecksumMismatch { declared, actual } => {
-                write!(
-                    f,
-                    "checksum mismatch: header {declared:#018x}, payload {actual:#018x}"
-                )
-            }
+            Self::Container(e) => write!(f, "bad snapshot container: {e}"),
             Self::Meta(m) => write!(f, "bad snapshot metadata: {m}"),
             Self::Lineage(m) => write!(f, "bad snapshot lineage: {m}"),
             Self::Codec(e) => write!(f, "embedded database: {e}"),
@@ -150,6 +74,12 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl From<SealError> for SnapshotError {
+    fn from(e: SealError) -> Self {
+        Self::Container(e)
+    }
+}
 
 impl From<CodecError> for SnapshotError {
     fn from(e: CodecError) -> Self {
@@ -216,26 +146,18 @@ impl Snapshot {
             self.platform,
             self.db.to_text()
         );
-        let payload = payload.into_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        seal(&MAGIC, FORMAT_VERSION, &payload)
     }
 
     /// Parses and integrity-checks a binary snapshot.
     ///
     /// # Errors
     ///
-    /// Returns the first failed container invariant (magic, version,
-    /// flags, length, checksum), or a metadata/codec error from the
-    /// payload. Model descriptors are *not* resolved here.
+    /// [`SnapshotError::Container`] for the first failed container
+    /// check, or a metadata/codec error from the payload. Model
+    /// descriptors are *not* resolved here.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let text = container_payload(bytes, &MAGIC, FORMAT_VERSION)?;
+        let text = open(bytes, &MAGIC, FORMAT_VERSION)?;
         Self::from_meta_text(text)
     }
 
@@ -300,62 +222,6 @@ impl Snapshot {
     pub fn write_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_bytes())
     }
-}
-
-/// Integrity-checks a snapshot container against the expected magic and
-/// version, returning the UTF-8 payload.
-fn container_payload<'b>(
-    bytes: &'b [u8],
-    magic: &[u8; 8],
-    format_version: u32,
-) -> Result<&'b str, SnapshotError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotError::TooShort { len: bytes.len() });
-    }
-    if &bytes[0..8] != magic {
-        return Err(SnapshotError::BadMagic);
-    }
-    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-    let quad = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    let version = word(8);
-    if version != format_version {
-        return Err(SnapshotError::UnsupportedVersion { version });
-    }
-    let flags = word(12);
-    if flags != 0 {
-        return Err(SnapshotError::BadFlags { flags });
-    }
-    let declared_len = quad(16);
-    let payload = &bytes[HEADER_LEN..];
-    if declared_len != payload.len() as u64 {
-        return Err(SnapshotError::LengthMismatch {
-            declared: declared_len,
-            actual: payload.len() as u64,
-        });
-    }
-    let declared_sum = quad(24);
-    let actual_sum = fnv1a64(payload);
-    if declared_sum != actual_sum {
-        return Err(SnapshotError::ChecksumMismatch {
-            declared: declared_sum,
-            actual: actual_sum,
-        });
-    }
-    std::str::from_utf8(payload)
-        .map_err(|e| SnapshotError::Meta(format!("payload is not UTF-8: {e}")))
-}
-
-/// Wraps a payload in the 32-byte container header.
-fn seal_container(magic: &[u8; 8], format_version: u32, payload: &str) -> Vec<u8> {
-    let payload = payload.as_bytes();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&format_version.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
 }
 
 /// The publisher id stamped onto lineage roots promoted from plain
@@ -527,7 +393,7 @@ impl LineageSnapshot {
             self.snapshot.platform_desc(),
             self.snapshot.db().to_text()
         );
-        seal_container(&MAGIC2, FORMAT_VERSION2, &payload)
+        seal(&MAGIC2, FORMAT_VERSION2, &payload)
     }
 
     /// Parses either container generation: a CLRSNAP2 artifact decodes
@@ -546,7 +412,7 @@ impl LineageSnapshot {
                 GENESIS_PUBLISHER,
             ));
         }
-        let text = container_payload(bytes, &MAGIC2, FORMAT_VERSION2)?;
+        let text = open(bytes, &MAGIC2, FORMAT_VERSION2)?;
         let mut lines = text.splitn(5, '\n');
         let bad = |what: &str| SnapshotError::Lineage(format!("missing or malformed {what} line"));
         let generation: u64 = lines
@@ -573,7 +439,9 @@ impl LineageSnapshot {
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| bad("stamps"))?;
         let mut rest = lines.next().ok_or_else(|| bad("stamps"))?;
-        let mut stamps = Vec::with_capacity(count);
+        // `count` is unchecked input: pre-size by what the payload can
+        // hold (a stamp line is at least 4 bytes), never by the claim.
+        let mut stamps = Vec::with_capacity(count.min(rest.len() / 4));
         for i in 0..count {
             let (line, tail) = rest
                 .split_once('\n')
@@ -695,53 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_rejected() {
-        let bytes = Snapshot::new("jpeg", "dac19", sample_db()).to_bytes();
-        assert_eq!(
-            Snapshot::from_bytes(&bytes[..10]),
-            Err(SnapshotError::TooShort { len: 10 })
-        );
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes[..bytes.len() - 1]),
-            Err(SnapshotError::LengthMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn bad_magic_and_version_are_rejected() {
-        let mut bytes = Snapshot::new("jpeg", "dac19", sample_db()).to_bytes();
-        let mut wrong = bytes.clone();
-        wrong[0] = b'X';
-        assert_eq!(Snapshot::from_bytes(&wrong), Err(SnapshotError::BadMagic));
-        bytes[8] = 9; // version 9
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion { version: 9 })
-        ));
-    }
-
-    #[test]
-    fn payload_corruption_fails_the_checksum() {
-        let mut bytes = Snapshot::new("jpeg", "dac19", sample_db()).to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn reserved_flags_are_rejected() {
-        let mut bytes = Snapshot::new("jpeg", "dac19", sample_db()).to_bytes();
-        bytes[12] = 1;
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::BadFlags { flags: 1 })
-        ));
-    }
-
-    #[test]
     fn descriptors_resolve_to_models() {
         let (graph, platform) = Snapshot::new("jpeg", "dac19", sample_db())
             .resolve()
@@ -836,22 +657,21 @@ mod tests {
     }
 
     #[test]
-    fn v2_payload_corruption_fails_the_checksum() {
-        let mut bytes =
-            LineageSnapshot::genesis(Snapshot::new("jpeg", "dac19", sample_db()), "n").to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        assert!(matches!(
-            LineageSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn fnv_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn oversized_stamp_counts_are_lineage_errors() {
+        // A correctly sealed container whose `stamps` line claims far more
+        // entries than the payload holds must fail to decode, not try to
+        // reserve the claimed capacity.
+        for count in ["1099511627776", "4611686018427387903"] {
+            let payload =
+                format!("generation 0\nparent none\npublisher n\nstamps {count}\ngraph jpeg\n");
+            let bytes = seal(&MAGIC2, FORMAT_VERSION2, &payload);
+            assert!(
+                matches!(
+                    LineageSnapshot::from_bytes(&bytes),
+                    Err(SnapshotError::Lineage(_))
+                ),
+                "stamps {count}"
+            );
+        }
     }
 }

@@ -75,8 +75,9 @@ use std::io::{Read, Write};
 
 use clr_chaos::FaultKind;
 use clr_dse::QosSpec;
+use clr_par::fnv1a64;
 
-use crate::{fnv1a64, is_plain_name, DecisionRecord, ServeStatus, TraceEvent};
+use crate::{is_plain_name, DecisionRecord, ServeStatus, TraceEvent};
 
 /// Magic bytes opening every frame.
 pub const WIRE_MAGIC: [u8; 8] = *b"CLRWIRE1";
@@ -1162,6 +1163,16 @@ mod tests {
         );
     }
 
+    /// `frame`'s header over `payload`, with the length and checksum
+    /// refreshed so only the payload's content can be at fault.
+    fn reframe(frame: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut bytes = frame[..WIRE_HEADER_LEN].to_vec();
+        bytes[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes[24..32].copy_from_slice(&fnv1a64(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
     #[test]
     fn trailing_payload_bytes_are_malformed() {
         // Hand-grow the payload while fixing length and checksum: the
@@ -1172,16 +1183,8 @@ mod tests {
         let inner = Frame::Request(req).to_bytes();
         let mut payload = inner[WIRE_HEADER_LEN..].to_vec();
         payload.push(0xAB);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&WIRE_MAGIC);
-        bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-        bytes.push(1);
-        bytes.extend_from_slice(&[0u8; 5]);
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
         assert!(matches!(
-            Frame::from_bytes(&bytes),
+            Frame::from_bytes(&reframe(&inner, &payload)),
             Err(WireError::Malformed(_))
         ));
     }
@@ -1238,12 +1241,8 @@ mod tests {
         .to_bytes();
         let mut payload = good[WIRE_HEADER_LEN..].to_vec();
         payload.truncate(payload.len() - 3); // declared text length now lies
-        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
-        bytes[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
         assert!(matches!(
-            Frame::from_bytes(&bytes),
+            Frame::from_bytes(&reframe(&good, &payload)),
             Err(WireError::Malformed(_))
         ));
 
@@ -1251,11 +1250,8 @@ mod tests {
         let good = Frame::Stats(StatsRequest::fleet(3, false)).to_bytes();
         let mut payload = good[WIRE_HEADER_LEN..].to_vec();
         payload[10] = 7; // the flight byte (after seq u64 + version u16)
-        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
         assert!(matches!(
-            Frame::from_bytes(&bytes),
+            Frame::from_bytes(&reframe(&good, &payload)),
             Err(WireError::Malformed(_))
         ));
     }
@@ -1336,12 +1332,8 @@ mod tests {
         payload.truncate(plen - 1); // drop the path byte...
         let at = payload.len() - 2;
         payload[at..].copy_from_slice(&0u16.to_le_bytes()); // ...and declare length 0
-        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
-        bytes[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
         assert!(matches!(
-            Frame::from_bytes(&bytes),
+            Frame::from_bytes(&reframe(&good, &payload)),
             Err(WireError::Malformed(_))
         ));
 
@@ -1356,11 +1348,8 @@ mod tests {
         let mut payload = good[WIRE_HEADER_LEN..].to_vec();
         let status_at = payload.len() - 9; // status byte precedes the u64 generation
         payload[status_at] = 9;
-        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
         assert!(matches!(
-            Frame::from_bytes(&bytes),
+            Frame::from_bytes(&reframe(&good, &payload)),
             Err(WireError::Malformed(_))
         ));
     }
@@ -1428,11 +1417,8 @@ mod tests {
         let mut payload = good[WIRE_HEADER_LEN..].to_vec();
         let status_at = payload.len() - 9; // status byte precedes the u64 count
         payload[status_at] = 9;
-        let mut bytes = good[..WIRE_HEADER_LEN].to_vec();
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
         assert!(matches!(
-            Frame::from_bytes(&bytes),
+            Frame::from_bytes(&reframe(&good, &payload)),
             Err(WireError::Malformed(_))
         ));
     }
@@ -1452,10 +1438,8 @@ mod tests {
         let len = bytes.len();
         bytes[len - 2] = b'a';
         bytes[len - 1] = b' ';
-        let payload = bytes[WIRE_HEADER_LEN..].to_vec();
-        bytes[24..32].copy_from_slice(&fnv1a64(&payload).to_le_bytes());
         assert!(matches!(
-            Frame::from_bytes(&bytes),
+            Frame::from_bytes(&reframe(&bytes, &bytes[WIRE_HEADER_LEN..])),
             Err(WireError::Malformed(_))
         ));
     }

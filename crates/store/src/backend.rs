@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use clr_serve::fnv1a64;
+use clr_par::fnv1a64;
 
 use crate::StoreError;
 

@@ -32,7 +32,8 @@
 use std::fmt::Write as _;
 
 use clr_dse::{point_text, DesignPoint, DesignPointDb};
-use clr_serve::{fnv1a64, Lineage, LineageSnapshot, PointStamp, Snapshot};
+use clr_par::fnv1a64;
+use clr_serve::{Lineage, LineageSnapshot, PointStamp, Snapshot};
 
 use crate::StoreError;
 

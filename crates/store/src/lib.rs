@@ -30,7 +30,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use clr_dse::point_text;
-use clr_serve::{fnv1a64, Lineage, LineageSnapshot, PointStamp, Snapshot, SnapshotError};
+use clr_par::fnv1a64;
+use clr_serve::{Lineage, LineageSnapshot, PointStamp, Snapshot, SnapshotError};
 
 mod backend;
 mod changeset;

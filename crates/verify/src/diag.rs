@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use clr_obs::json_escape;
+
 use crate::LintCode;
 
 /// How severe a finding is.
@@ -172,12 +174,12 @@ impl Report {
             let _ = write!(
                 out,
                 "{{\"code\":{},\"severity\":{},\"artifact\":{},\"location\":{},\"detail\":{},\"hint\":{}}}",
-                json_string(d.code.code()),
-                json_string(&d.severity().to_string()),
-                json_string(&d.artifact),
-                json_string(&d.location),
-                json_string(&d.detail),
-                json_string(d.fix_hint()),
+                json_escape(d.code.code()),
+                json_escape(&d.severity().to_string()),
+                json_escape(&d.artifact),
+                json_escape(&d.location),
+                json_escape(&d.detail),
+                json_escape(d.fix_hint()),
             );
         }
         let _ = write!(
@@ -188,28 +190,6 @@ impl Report {
         );
         out
     }
-}
-
-/// Escapes a string into a JSON string literal (RFC 8259 §7).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -275,7 +255,7 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -9,6 +9,7 @@
 //! it returns exactly the linear scan's feasible set over a sampled
 //! grid of QoS requirements.
 
+use clr_dse::sealed::SealError;
 use clr_dse::{FeasibilityIndex, QosSpec};
 use clr_serve::{LineageSnapshot, Snapshot, SnapshotError, MAGIC2};
 
@@ -33,7 +34,9 @@ pub fn check_snapshot(bytes: &[u8], artifact: &str) -> Report {
         Ok(s) => s,
         Err(e) => {
             let code = match e {
-                SnapshotError::ChecksumMismatch { .. } => LintCode::SnapshotChecksumMismatch,
+                SnapshotError::Container(SealError::ChecksumMismatch { .. }) => {
+                    LintCode::SnapshotChecksumMismatch
+                }
                 _ => LintCode::SnapshotContainerInvalid,
             };
             report.push(Diagnostic::new(code, artifact, "container", e.to_string()));
@@ -135,8 +138,10 @@ fn check_index_equivalence(snapshot: &Snapshot, artifact: &str) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clr_dse::sealed::{open, seal};
     use clr_dse::{DesignPoint, DesignPointDb, PointOrigin};
     use clr_sched::{Mapping, SystemMetrics};
+    use clr_serve::FORMAT_VERSION2;
 
     fn db(points: &[(f64, f64)]) -> DesignPointDb {
         let mut db = DesignPointDb::new("t");
@@ -181,21 +186,28 @@ mod tests {
         let report = check_snapshot(&bytes, "t");
         assert!(report.is_empty(), "{report:?}");
         // A corrupted lineage block is a container finding, not a panic.
-        let mut broken = bytes;
-        let needle = b"publisher export";
-        let at = broken
-            .windows(needle.len())
-            .position(|w| w == needle)
-            .expect("lineage block is embedded");
-        broken[at + 10] = b'!'; // "publisher !xport" — not a plain name
-                                // Re-seal the checksum so only the lineage invariant is at fault.
-        let sum = clr_serve::fnv1a64(&broken[clr_serve::HEADER_LEN..]);
-        broken[24..32].copy_from_slice(&sum.to_le_bytes());
+        // "publisher !xport" is not a plain name; re-sealing keeps the
+        // checksum valid so only the lineage invariant is at fault.
+        let payload = open(&bytes, &MAGIC2, FORMAT_VERSION2)
+            .unwrap()
+            .replace("publisher export", "publisher !xport");
+        let broken = seal(&MAGIC2, FORMAT_VERSION2, &payload);
         let report = check_snapshot(&broken, "t");
         assert!(
             report.has_code(LintCode::SnapshotContainerInvalid),
             "{report:?}"
         );
+    }
+
+    #[test]
+    fn oversized_stamp_count_is_clr060() {
+        let payload = "generation 0\nparent none\npublisher n\nstamps 1099511627776\n";
+        let report = check_snapshot(&seal(&MAGIC2, FORMAT_VERSION2, payload), "t");
+        assert!(
+            report.has_code(LintCode::SnapshotContainerInvalid),
+            "{report:?}"
+        );
+        assert_eq!(report.exit_code(), 1);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 
 use std::collections::BTreeSet;
 
-use clr_serve::{fnv1a64, LineageSnapshot};
+use clr_par::fnv1a64;
+use clr_serve::LineageSnapshot;
 use clr_store::{ChangeOp, Changeset, MergeOutcome, Store};
 
 use crate::{Diagnostic, LintCode, Report};
