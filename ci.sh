@@ -7,10 +7,10 @@
 #                                    then cargo doc with RUSTDOCFLAGS
 #                                    "-D warnings" so broken intra-doc
 #                                    links fail like any other lint,
-#                                    and a release build of servebench/
-#                                    (its own workspace, so --workspace
-#                                    never compiles it against the
-#                                    crates' public names)
+#                                    and a release build and test run
+#                                    of servebench/ (its own workspace,
+#                                    so --workspace never compiles it
+#                                    against the crates' public names)
 #   3. cargo test -q, twice        — full test suite at CLR_THREADS=1 and
 #                                    CLR_THREADS=4: the parallel evaluation
 #                                    layer must be bit-identical at every
@@ -64,12 +64,7 @@
 #                                    clr-verify stats lints (CLR066-068)
 #                                    and render through stats --json,
 #                                    the Prometheus exposition, and top
-#  12. bench artifact schema       — run telemetry_bench at the quick
-#                                    scale and check every committed
-#                                    results/BENCH_*.json carries the
-#                                    schema-versioned shape (schema,
-#                                    commit, per-group events_per_sec)
-#  13. clr-store replication       — publish the step-6 database as
+#  12. clr-store replication       — publish the step-6 database as
 #                                    lineage generation 0, mutate one
 #                                    design point and publish generation
 #                                    1, pull the delta into a replica
@@ -85,8 +80,10 @@
 #                                    byte-identical, the drain must
 #                                    report cam at generation 1, and the
 #                                    journal must carry the db_swap
-#                                    event and pass the CLR05x lints
-#  14. clr-learn online smoke      — seat an A/B learn fleet (cam pinned
+#                                    event and pass the CLR05x lints;
+#                                    store_bench must emit the
+#                                    schema-shaped results/BENCH_store.json
+#  13. clr-learn online smoke      — seat an A/B learn fleet (cam pinned
 #                                    to the treatment arm, nav to control
 #                                    via the seeded assignment) on the
 #                                    step-8 snapshot, splice a regime
@@ -105,7 +102,7 @@
 #                                    live post-promote, and learn_bench
 #                                    must emit the schema-shaped
 #                                    results/BENCH_learn.json
-#  15. clr-audit (source lints)    — workspace-wide CLR1xx source audit:
+#  14. clr-audit (source lints)    — workspace-wide CLR1xx source audit:
 #                                    wall-clock reads, unordered containers,
 #                                    partial_cmp float sorts, unseeded RNGs,
 #                                    raw spawns, panicking decision paths,
@@ -131,12 +128,13 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-step "cargo build servebench (the repo benchmark, its own workspace)"
+step "cargo build + test servebench (the repo benchmark, its own workspace)"
 # Building refreshes servebench/Cargo.lock when a crate's path
 # dependencies change; shelter the committed lock so CI leaves the
 # checkout clean.
 cp servebench/Cargo.lock target/ci-servebench.lock
 cargo build --release --offline --manifest-path servebench/Cargo.toml
+cargo test --release --offline --manifest-path servebench/Cargo.toml
 mv target/ci-servebench.lock servebench/Cargo.lock
 
 step "cargo test -q (CLR_THREADS=1)"
@@ -277,21 +275,6 @@ cmp "$SNAP1" "$SNAP8" \
 "$SERVE" top --snapshot "$SNAP8" | grep -q "^cam " \
   || { echo "clr-serve top did not render tenant cam"; exit 1; }
 
-step "bench artifact schema (results/BENCH_*.json)"
-cargo build --release --quiet -p clr-experiments --bin telemetry_bench
-BENCH_BACKUP=target/ci-bench-telemetry.json.bak
-cp results/BENCH_telemetry.json "$BENCH_BACKUP" 2>/dev/null || BENCH_BACKUP=
-CLR_QUICK=1 ./target/release/telemetry_bench >/dev/null 2>&1
-for f in results/BENCH_*.json; do
-  for key in '"schema"' '"commit"' '"events_per_sec"'; do
-    grep -q "$key" "$f" \
-      || { echo "$f missing the $key field"; exit 1; }
-  done
-done
-if [ -n "$BENCH_BACKUP" ]; then
-  mv "$BENCH_BACKUP" results/BENCH_telemetry.json
-fi
-
 step "clr-store replication (lineage publish, delta pull, GC, live SwapDb)"
 cargo build --release --quiet -p clr-store --bin clr-store
 cargo build --release --quiet -p clr-experiments --bin store_bench
@@ -367,12 +350,12 @@ grep -q '"type":"db_swap"' "$SWAP_OBS8/served.obs.jsonl" \
 grep -q "tenant cam (gen 1)" "$SWAP_LOG" \
   || { cat "$SWAP_LOG"; echo "drain did not seat cam at generation 1"; exit 1; }
 "$VERIFY" journal "$SWAP_OBS8/served.obs.jsonl"
-# The delta-sync economics artifact: quick-scale run, then check the
-# committed full-scale numbers keep the schema shape (step 12 greps).
+# The delta-sync economics artifact: a quick-scale run must emit the
+# schema shape; the committed full-scale file is restored afterwards.
 STORE_BENCH_BACKUP=target/ci-bench-store.json.bak
 cp results/BENCH_store.json "$STORE_BENCH_BACKUP" 2>/dev/null || STORE_BENCH_BACKUP=
 CLR_QUICK=1 ./target/release/store_bench >/dev/null 2>&1
-for key in '"schema"' '"commit"' '"events_per_sec"'; do
+for key in '"schema"' '"commit"' '"ratio_pct"'; do
   grep -q "$key" results/BENCH_store.json \
     || { echo "results/BENCH_store.json missing the $key field"; exit 1; }
 done
@@ -438,13 +421,13 @@ AB_REPORT=target/ci-learn-ab.txt
 "$SERVE" ab --journal "$LEARN_JOURNAL" > "$AB_REPORT"
 grep -q "arm treatment" "$AB_REPORT" \
   || { cat "$AB_REPORT"; echo "clr-serve ab did not refold the treatment arm"; exit 1; }
-# The drifting-fault-rate bench artifact: quick-scale run, then keep the
-# committed full-scale numbers (schema shape is checked by step 12).
+# The drifting-fault-rate bench artifact: a quick-scale run must emit the
+# schema shape; the committed full-scale file is restored afterwards.
 cargo build --release --quiet -p clr-experiments --bin learn_bench
 LEARN_BENCH_BACKUP=target/ci-bench-learn.json.bak
 cp results/BENCH_learn.json "$LEARN_BENCH_BACKUP" 2>/dev/null || LEARN_BENCH_BACKUP=
 CLR_QUICK=1 ./target/release/learn_bench >/dev/null 2>&1
-for key in '"schema"' '"commit"' '"events_per_sec"' '"prefetch_hit_rate_pct"'; do
+for key in '"schema"' '"commit"' '"online_cumulative_regret"' '"prefetch_hit_rate_pct"'; do
   grep -q "$key" results/BENCH_learn.json \
     || { echo "results/BENCH_learn.json missing the $key field"; exit 1; }
 done

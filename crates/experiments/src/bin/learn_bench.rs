@@ -16,18 +16,30 @@
 //! `makespan(active point) + reconfiguration stall`, where the online
 //! arm's stall is reduced by the dRC cycles the prefetcher overlapped
 //! with execution. Results go to stderr and to
-//! `results/BENCH_learn.json` in the same schema-versioned shape as the
-//! other benches (`schema`, `commit`, per-group `events_per_sec`).
-//! `CLR_QUICK=1` shrinks to smoke scale; throughput is wall-clock and
-//! machine-dependent, the decisions and latency sums stay deterministic.
+//! `results/BENCH_learn.json` (`schema`, `commit`, then the result
+//! fields). Every result is deterministic; the learn path's wall-clock
+//! cost is servebench's `learn.overhead_pct`. `CLR_QUICK=1` shrinks to
+//! smoke scale.
 
 use std::io::Write as _;
-use std::time::Instant;
 
 use clr_core::prelude::*;
 use clr_core::serve::{ReplayReport, ServeStatus};
-use clr_experiments::load::Lcg;
 use clr_learn::{assign_variant, Variant};
+
+/// A tiny deterministic generator for the trace jitter.
+struct Lcg(u64);
+
+impl Lcg {
+    /// The next uniform draw in `[0, 1)`.
+    fn next_f64(&mut self) -> f64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
 
 /// Harness scale.
 struct Scale {
@@ -135,17 +147,6 @@ fn drifting_trace(tenants: &[Tenant], seed: u64, events_per_tenant: usize) -> Tr
     Trace::new(tagged.into_iter().map(|(_, _, e)| e).collect())
 }
 
-/// One timed replay; returns `(report, elapsed_seconds)`.
-fn timed_replay(tenants: &[Tenant], trace: &Trace) -> (ReplayReport, f64) {
-    let config = ReplayConfig::default();
-    // clr-audit: nondet(begin) throughput timing, reporting only
-    let start = Instant::now();
-    let report = replay(tenants, trace, &config).expect("synthetic replay is clean");
-    let elapsed = start.elapsed().as_secs_f64();
-    // clr-audit: nondet(end)
-    (report, elapsed)
-}
-
 /// Aggregated realized trajectory of one fleet run.
 struct Realized {
     served: u64,
@@ -239,10 +240,9 @@ impl Realized {
 
 fn main() {
     let scale = Scale::from_env();
-    let threads = clr_par::resolve_threads(0);
     eprintln!(
-        "# learn_bench: {} tenants, {} drift events/tenant, {} threads",
-        scale.tenants, scale.events_per_tenant, threads
+        "# learn_bench: {} tenants, {} drift events/tenant",
+        scale.tenants, scale.events_per_tenant
     );
 
     // TD(0) observes every served decision, so the candidate learns
@@ -260,41 +260,11 @@ fn main() {
     };
     let control = fleet(scale.tenants, learn_spec(Variant::Control));
     let treatment = fleet(scale.tenants, learn_spec(Variant::Treatment));
-    let aura = fleet(scale.tenants, |_| PolicySpec::Aura {
-        p_rc: 0.5,
-        gamma: 0.6,
-        alpha: 0.1,
-    });
     let trace = drifting_trace(&control, 2_027, scale.events_per_tenant);
     eprintln!("  trace: {} events over the fleet", trace.len());
-
-    // Throughput: the learn path (shadow scoring + TD updates +
-    // prefetch) versus the plain aura baseline on the same stream, best
-    // of three with rounds interleaved.
-    let mut learn_elapsed = f64::INFINITY;
-    let mut aura_elapsed = f64::INFINITY;
-    let mut online_report = None;
-    for _ in 0..3 {
-        let (r, e) = timed_replay(&treatment, &trace);
-        learn_elapsed = learn_elapsed.min(e);
-        online_report = Some(r);
-        let (_, e) = timed_replay(&aura, &trace);
-        aura_elapsed = aura_elapsed.min(e);
-    }
-    let online_report = online_report.expect("at least one round ran");
-    let (frozen_report, _) = timed_replay(&control, &trace);
-    let learn_rate = trace.len() as f64 / learn_elapsed.max(1e-9);
-    let aura_rate = trace.len() as f64 / aura_elapsed.max(1e-9);
-    let overhead_pct = (learn_elapsed / aura_elapsed.max(1e-9) - 1.0) * 100.0;
-    eprintln!(
-        "  aura baseline: {} events in {aura_elapsed:.3} s — {aura_rate:.0} events/s",
-        trace.len()
-    );
-    eprintln!(
-        "  online learn:  {} events in {learn_elapsed:.3} s — {learn_rate:.0} events/s \
-         ({overhead_pct:+.2} %)",
-        trace.len()
-    );
+    let config = ReplayConfig::default();
+    let online_report = replay(&treatment, &trace, &config).expect("synthetic replay is clean");
+    let frozen_report = replay(&control, &trace, &config).expect("synthetic replay is clean");
 
     // Quality: frozen incumbent (all-control fleet) versus online
     // candidate (all-treatment fleet) on identical tenants and trace.
@@ -347,7 +317,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"schema\": {},\n  \"bench\": \"learn\",\n  \"commit\": {:?},\n  \
-         \"tenants\": {},\n  \"threads\": {threads},\n  \"events\": {},\n  \
+         \"tenants\": {},\n  \"events\": {},\n  \
          \"frozen_latency_cycles_per_event\": {frozen_latency:.3},\n  \
          \"online_latency_cycles_per_event\": {online_latency:.3},\n  \
          \"latency_win_pct\": {win_pct:.2},\n  \
@@ -356,12 +326,7 @@ fn main() {
          \"frozen_violations\": {},\n  \"online_violations\": {},\n  \
          \"prefetch_hits\": {},\n  \"prefetch_misses\": {},\n  \
          \"prefetch_hit_rate_pct\": {hit_rate:.2},\n  \"prefetch_saved_drc\": {:.2},\n  \
-         \"online_exploration_regret\": {:.4},\n  \
-         \"learn_overhead_pct\": {overhead_pct:.2},\n  \"groups\": {{\n    \
-         \"replay_aura\": {{\"events\": {}, \"elapsed_s\": {aura_elapsed:.4}, \
-         \"events_per_sec\": {aura_rate:.0}}},\n    \
-         \"replay_learn\": {{\"events\": {}, \"elapsed_s\": {learn_elapsed:.4}, \
-         \"events_per_sec\": {learn_rate:.0}}}\n  }}\n}}\n",
+         \"online_exploration_regret\": {:.4}\n}}\n",
         clr_experiments::report::BENCH_SCHEMA_VERSION,
         clr_experiments::report::bench_commit(),
         scale.tenants,
@@ -372,8 +337,6 @@ fn main() {
         online.misses,
         online.drc_overlapped,
         online.shadow_regret,
-        trace.len(),
-        trace.len(),
     );
     if let Err(e) = std::fs::create_dir_all("results") {
         eprintln!("  cannot create results/: {e}");

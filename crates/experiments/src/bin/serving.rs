@@ -8,8 +8,6 @@
 //! workers must produce identical reports — asserted here, byte-diffed
 //! in `ci.sh`).
 
-use std::time::Instant;
-
 use clr_core::prelude::*;
 use clr_core::serve::{generate_trace, replay, PolicySpec, ReplayConfig, Tenant};
 use clr_experiments::kernels::Bundle;
@@ -64,17 +62,7 @@ fn main() {
             threads,
             ..ReplayConfig::default()
         };
-        // clr-audit: nondet(begin) throughput numbers are stderr reporting only, never journaled
-        let start = Instant::now();
         let report = replay(&tenants, &trace, &config).expect("unique tenant names");
-        let elapsed = start.elapsed().as_secs_f64();
-        // clr-audit: nondet(end)
-        let events = report.total_events();
-        eprintln!(
-            "  threads={threads}: {events} decisions in {:.3}s ({:.0} events/s)",
-            elapsed,
-            events as f64 / elapsed.max(1e-9)
-        );
         match &reference {
             None => reference = Some(report),
             Some(r) => assert_eq!(r, &report, "replay must be thread-count invariant"),

@@ -8,15 +8,14 @@
 //! bytes — is asserted here at every scale and pinned in CI by
 //! `crates/store/tests/sync_ratio.rs`.
 //!
-//! Results go to stderr and to `results/BENCH_store.json`, in the same
-//! schema-versioned shape as the other `BENCH_*.json` artifacts
-//! (`schema`, `commit`, per-group `events_per_sec`). Byte volumes and
-//! ratios are deterministic; throughput is wall-clock and
-//! machine-dependent. `CLR_QUICK=1` shrinks to smoke scale.
+//! Results go to stderr and to `results/BENCH_store.json` (`schema`,
+//! `commit`, then one group per churn rate). Byte volumes and ratios
+//! are deterministic; the sync wall-clock cost is servebench's
+//! `store.changeset_us` and `store.merge_us`. `CLR_QUICK=1` shrinks to
+//! smoke scale.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::time::Instant;
 
 use clr_core::prelude::*;
 use clr_store::{synth_db, Changeset, Store};
@@ -43,8 +42,6 @@ struct ChurnRow {
     changed_points: usize,
     delta_bytes: usize,
     full_bytes: usize,
-    compute_s: f64,
-    apply_s: f64,
 }
 
 fn sweep(points: usize, churn_pct: usize) -> ChurnRow {
@@ -71,14 +68,8 @@ fn sweep(points: usize, churn_pct: usize) -> ChurnRow {
     let to = store.get(1).expect("generation 1 held");
     let full_bytes = to.to_bytes().len();
 
-    // clr-audit: nondet(begin) sync throughput timing, reporting only
-    let start = Instant::now();
     let cs = Changeset::compute(&from, &to);
-    let compute_s = start.elapsed().as_secs_f64();
-    let start = Instant::now();
     let rebuilt = cs.apply(&from).expect("own changeset applies");
-    let apply_s = start.elapsed().as_secs_f64();
-    // clr-audit: nondet(end)
     assert_eq!(
         rebuilt.to_bytes(),
         to.to_bytes(),
@@ -90,8 +81,6 @@ fn sweep(points: usize, churn_pct: usize) -> ChurnRow {
         changed_points: points / period,
         delta_bytes: cs.byte_len(),
         full_bytes,
-        compute_s,
-        apply_s,
     }
 }
 
@@ -110,20 +99,9 @@ fn main() {
     let mut groups = String::new();
     for (i, row) in rows.iter().enumerate() {
         let ratio_pct = row.delta_bytes as f64 * 100.0 / row.full_bytes as f64;
-        // Points carried per second of end-to-end delta sync
-        // (compute + apply), the store's analogue of event throughput.
-        let sync_s = (row.compute_s + row.apply_s).max(1e-9);
-        let per_sec = scale.points as f64 / sync_s;
         eprintln!(
-            "  churn {:>2}%: delta {} B vs full {} B ({:.2}%), {} changed point(s), \
-             compute {:.1} ms, apply {:.1} ms",
-            row.churn_pct,
-            row.delta_bytes,
-            row.full_bytes,
-            ratio_pct,
-            row.changed_points,
-            row.compute_s * 1e3,
-            row.apply_s * 1e3,
+            "  churn {:>2}%: delta {} B vs full {} B ({:.2}%), {} changed point(s)",
+            row.churn_pct, row.delta_bytes, row.full_bytes, ratio_pct, row.changed_points,
         );
         if row.churn_pct == 1 {
             assert!(
@@ -137,8 +115,7 @@ fn main() {
         let _ = writeln!(
             groups,
             "    \"churn_{}pct\": {{\"changed_points\": {}, \"delta_bytes\": {}, \
-             \"full_bytes\": {}, \"ratio_pct\": {ratio_pct:.2}, \
-             \"events_per_sec\": {per_sec:.0}}}{}",
+             \"full_bytes\": {}, \"ratio_pct\": {ratio_pct:.2}}}{}",
             row.churn_pct,
             row.changed_points,
             row.delta_bytes,

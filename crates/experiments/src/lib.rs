@@ -17,7 +17,6 @@
 //! their CSVs under `results/`.
 
 pub mod kernels;
-pub mod load;
 pub mod report;
 
 use clr_core::prelude::*;
@@ -108,7 +107,7 @@ impl Env {
         }
     }
 
-    /// A tiny scale for unit tests and smoke benches.
+    /// A tiny scale for unit tests and CI smoke runs.
     pub fn quick() -> Self {
         Self {
             ga: GaParams::small(),

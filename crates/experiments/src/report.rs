@@ -106,10 +106,11 @@ impl Table {
     }
 }
 
-/// Schema version of the `results/BENCH_*.json` perf artifacts. Every
+/// Schema version of the `results/BENCH_*.json` result artifacts. Every
 /// bench binary stamps this plus [`bench_commit`] so a trajectory of
-/// BENCH files is self-describing; `ci.sh` greps for both.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+/// BENCH files is self-describing; `ci.sh` greps for both. Version 2
+/// dropped the wall-clock fields, which servebench now measures.
+pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// Short commit hash of the working tree for `BENCH_*.json` provenance,
 /// or `"unknown"` outside a git checkout.

@@ -51,8 +51,8 @@ pub use event::{Event, SCHEMA_VERSION};
 pub use json::{escape as json_escape, parse as parse_json, Value};
 pub use recorder::Recorder;
 pub use telemetry::{
-    BitWindow, QuantileHistogram, Ring, RollingWindow, TelemetrySnapshot, TenantTelemetry,
-    WindowStat, TELEMETRY_SCHEMA_VERSION,
+    BitWindow, QuantileHistogram, RollingWindow, TelemetrySnapshot, TenantTelemetry, WindowStat,
+    TELEMETRY_SCHEMA_VERSION,
 };
 
 use std::io::Write as _;

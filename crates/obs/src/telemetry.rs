@@ -1,5 +1,5 @@
 //! Deterministic telemetry primitives: log-bucketed quantile
-//! histograms, event-indexed rolling windows, a bounded ring, and the
+//! histograms, event-indexed rolling windows, and the
 //! schema-versioned [`TelemetrySnapshot`] v1 codec.
 //!
 //! Everything here rides the logical clock. Histograms bucket values by
@@ -442,67 +442,6 @@ impl BitWindow {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded ring
-// ---------------------------------------------------------------------------
-
-/// A bounded ring keeping the last `capacity` pushed items — the
-/// flight-recorder container. Iteration yields oldest → newest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ring<T> {
-    buf: Vec<T>,
-    cap: usize,
-    head: usize,
-    pushed: u64,
-}
-
-impl<T> Ring<T> {
-    /// Creates a ring holding the last `capacity` (>= 1) items.
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        Self {
-            buf: Vec::with_capacity(cap),
-            cap,
-            head: 0,
-            pushed: 0,
-        }
-    }
-
-    /// Pushes one item, overwriting the oldest once full.
-    #[inline]
-    pub fn push(&mut self, item: T) {
-        if self.buf.len() < self.cap {
-            self.buf.push(item);
-        } else {
-            self.buf[self.head] = item;
-            self.head = (self.head + 1) % self.cap;
-        }
-        self.pushed += 1;
-    }
-
-    /// Items currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` before the first push.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total items ever pushed.
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Iterates the held items, oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        let split = self.head.min(self.buf.len());
-        let (tail, hd) = self.buf.split_at(split);
-        hd.iter().chain(tail)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Snapshot model
 // ---------------------------------------------------------------------------
 
@@ -929,18 +868,6 @@ mod tests {
                 assert_eq!(bits.mean(), rolling.mean(), "cap {cap}, push {i}");
             }
         }
-    }
-
-    #[test]
-    fn rings_keep_the_last_k_in_order() {
-        let mut r = Ring::new(3);
-        for i in 0..7 {
-            r.push(i);
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.pushed(), 7);
-        let held: Vec<i32> = r.iter().copied().collect();
-        assert_eq!(held, [4, 5, 6]);
     }
 
     fn sample_snapshot() -> TelemetrySnapshot {

@@ -9,7 +9,7 @@
 //! the bounds of the source generation it claims (CLR082), merge must
 //! be a join — idempotent (CLR083) and order-independent (CLR084) — and
 //! garbage collection must keep whole parent chains (CLR085). `ci.sh`
-//! runs `clr-verify store` over the log it publishes in step 13.
+//! runs `clr-verify store` over the log it publishes in step 12.
 
 use std::collections::BTreeSet;
 
